@@ -17,16 +17,42 @@ Two granularities are provided:
   grid shape, kernel factory, tile, fused steps)`` sized so every shard
   worker keeps whole first-axis tiles busy (throughput scaling and
   resident-iteration gates).
+
+:func:`apply_loop` is the non-resident baseline the bit-identity gates
+compare ``run`` against.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.core import kernels as kz
 from repro.workloads.configs import workload_by_name
 
-__all__ = ["HEAT_CASES", "HEAT_RESIDENT_CASES", "HEAT_SCALING_CASES", "heat_case"]
+__all__ = [
+    "HEAT_CASES",
+    "HEAT_RESIDENT_CASES",
+    "HEAT_SCALING_CASES",
+    "apply_loop",
+    "heat_case",
+]
+
+
+def apply_loop(plan, x: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` time steps as one stitched ``plan.apply`` per full fused
+    application into two ping-ponged output buffers, then the cached tail
+    plan's ``apply`` for the remainder — the non-resident baseline that
+    ``run`` must match bit for bit."""
+    full, rem = divmod(steps, plan.fused_steps)
+    bufs = (np.empty_like(x), np.empty_like(x))
+    cur = x
+    for i in range(full):
+        cur = plan.apply(cur, out=bufs[i % 2])
+    if rem:
+        cur = plan._tail_plan(rem).apply(cur)
+    return cur
 
 #: (workload name, tile override, fused steps) — one heat row per
 #: dimensionality at Table-3 validation shapes.

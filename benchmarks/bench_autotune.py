@@ -1,7 +1,7 @@
 """Online-autotuner benchmark gate: tuned vs hand-tuned vs static.
 
 ``OnlineTuner`` (``repro.tuner``) searches the joint configuration space —
-fusion depth, FFT backend, shard workers, residency, process ranks — by
+fusion depth, FFT backend, shard workers, process ranks — by
 pruning candidates with the gpusim roofline/fragment model and timing the
 survivors against the static incumbent with interleaved paired trials on
 live traffic.  This gate asserts, on the shared Heat-1D/2D/3D resident
@@ -21,10 +21,11 @@ geometries:
   it replaces, amortised over a 64-application workload;
 * **bit-identity** — every configuration this benchmark measures produces
   output bit-identical (``np.array_equal``) to *that configuration's own
-  serial run* (same fusion depth, same backend, workers=1, no residency,
-  no processes).  Different depths/backends legitimately differ from each
-  other at the 1e-15 level — the contract is that no *execution path*
-  (sharding, residency, process engine) perturbs numerics.
+  serial apply loop* (same fusion depth, same backend, workers=1, one
+  stitched ``apply`` per application, no processes).  Different
+  depths/backends legitimately differ from each other at the 1e-15 level
+  — the contract is that no *execution path* (sharding, residency,
+  process engine) perturbs numerics.
 
 Timing is interleaved (sides sampled alternately, order flipping every
 round) and every gated ratio is the **median of per-round ratios**, so
@@ -55,7 +56,7 @@ from repro.core.plan import FlashFFTStencil, plan_cache_clear
 from repro.observability import NULL_TELEMETRY
 from repro.tuner import OnlineTuner, TunerPolicy, candidate_space, prune_candidates
 
-from _workloads import HEAT_RESIDENT_CASES
+from _workloads import HEAT_RESIDENT_CASES, apply_loop
 
 #: The amortisation horizon of the overhead gate (the acceptance
 #: criterion's "64-application run").
@@ -147,8 +148,8 @@ def bench_case(
             opened.append(target)
         steps = cand.fused_steps * apps
         return lambda: target.run(
-            x, steps, resident=cand.resident, processes=cand.processes,
-            telemetry=NULL_TELEMETRY, tune=False,
+            x, steps, processes=cand.processes, telemetry=NULL_TELEMETRY,
+            tune=False,
         )
 
     try:
@@ -243,27 +244,25 @@ def bench_case(
                 f"(limit {100 * max_overhead:.0f}%)"
             )
 
-        # ---- bit-identity: each measured config vs its own serial run --
+        # ---- bit-identity: each measured config vs its own apply loop --
         ident_steps = 2 * max(c.fused_steps for c in survivors)
         ident_steps += max(1, fused // 2)  # remainder tail
         identity_checked = 0
         for cand in survivors:
-            serial = replace(cand, workers=1, resident=False, processes=1)
-            want = tuner.plan_for(plan, serial).run(
-                x, ident_steps, telemetry=NULL_TELEMETRY, tune=False
-            )
+            serial = replace(cand, workers=1, processes=1)
+            want = apply_loop(tuner.plan_for(plan, serial), x, ident_steps)
             target = tuner.plan_for(plan, cand)
             if cand.processes > 1:
                 opened.append(target)
             got = target.run(
-                x, ident_steps, resident=cand.resident,
-                processes=cand.processes, telemetry=NULL_TELEMETRY, tune=False,
+                x, ident_steps, processes=cand.processes,
+                telemetry=NULL_TELEMETRY, tune=False,
             )
             identity_checked += 1
             if not np.array_equal(got, want):
                 failures.append(
                     f"{name} {cand.label()}: output is not bit-identical to "
-                    "this configuration's own serial run"
+                    "this configuration's own serial apply loop"
                 )
     finally:
         for target in opened:

@@ -10,7 +10,7 @@ dispatch still serialises.  This gate asserts, on the shared Heat-1D/2D
 resident geometries:
 
 * **bit-identity** — on every configuration this benchmark measures, the
-  process-engine result equals the serial result exactly
+  result equals a serial loop of ``apply`` calls exactly
   (``np.array_equal``), including a remainder tail and a ``run_many``
   batch;
 * **speedup** — with 4 ranks, the process engine beats the thread-sharded
@@ -44,7 +44,7 @@ from repro.core.plan import FlashFFTStencil, plan_cache_clear
 from repro.distributed import HOST_SHM, predict_exchange_seconds
 from repro.parallel.sharding import cpu_count
 
-from _workloads import HEAT_RESIDENT_CASES
+from _workloads import HEAT_RESIDENT_CASES, apply_loop
 
 #: Rank count the gate runs at (the acceptance criterion's "4 workers").
 GATE_RANKS = 4
@@ -122,7 +122,7 @@ def bench_case(
         for timing_attempts in range(1, attempts + 1):
             _quiesce()
             a, b, r = _interleaved_ms(
-                lambda: threaded.run(x, steps, resident=True),
+                lambda: threaded.run(x, steps),
                 lambda: proc.run(x, steps, processes=GATE_RANKS),
                 reps,
                 warmup,
@@ -133,7 +133,7 @@ def bench_case(
                 break
 
         # ---- bit-identity on every measured configuration --------------
-        want = serial.run(x, steps)
+        want = apply_loop(serial, x, steps)
         _check_equal(
             f"{name} procs={GATE_RANKS}",
             proc.run(x, steps, processes=GATE_RANKS),
@@ -142,11 +142,11 @@ def bench_case(
         )
         _check_equal(
             f"{name} threads={GATE_RANKS}",
-            threaded.run(x, steps, resident=True),
+            threaded.run(x, steps),
             want,
             failures,
         )
-        want_tail = serial.run(x, tail_steps)
+        want_tail = apply_loop(serial, x, tail_steps)
         _check_equal(
             f"{name} procs={GATE_RANKS}+tail",
             proc.run(x, tail_steps, processes=GATE_RANKS),
@@ -154,7 +154,7 @@ def bench_case(
             failures,
         )
         gs = np.stack([x, -x])
-        want_many = np.stack([serial.run(g, steps) for g in gs])
+        want_many = np.stack([apply_loop(serial, g, steps) for g in gs])
         _check_equal(
             f"{name} run_many procs=2",
             proc.run_many(gs, steps, processes=2),

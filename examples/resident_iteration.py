@@ -1,22 +1,20 @@
 #!/usr/bin/env python
 """Resident iteration: keep windows on-chip, exchange halos, skip the stitch.
 
-The stitch-per-application engine round-trips the whole grid through
-memory twice per fused application: stitch the valid interiors out, then
-re-gather overlapping windows back in.  ``run(..., resident=True)`` keeps
-the window batch resident instead and refreshes each window's halo
-directly from its neighbours' valid regions — bit-identical under
-overlap-save (every halo point has exactly one owner), but moving only
-the halo points.
+Calling ``apply`` once per fused application round-trips the whole grid
+through memory twice per application: stitch the valid interiors out,
+then re-gather overlapping windows back in.  ``run`` keeps the window
+batch resident instead and refreshes each window's halo directly from its
+neighbours' valid regions — bit-identical under overlap-save (every halo
+point has exactly one owner), but moving only the halo points.
 
 This example advances one 2-D heat grid both ways and uses telemetry to
 show the mechanism: the per-application ``split``/``stitch`` spans of the
-baseline collapse into a single entry/exit pair plus a tiny ``exchange``
-span, and the ``hbm_round_trips_saved`` counter ticks once per interior
-transition.  Everything is asserted, not just printed.
+apply loop collapse into a single entry/exit pair plus a tiny
+``exchange`` span, and the ``hbm_round_trips_saved`` counter ticks once
+per interior transition.  Everything is asserted, not just printed.
 
 Run:  python examples/resident_iteration.py
-      REPRO_RESIDENT=1 python examples/resident_iteration.py   # fleet default
 """
 
 from __future__ import annotations
@@ -40,14 +38,15 @@ def main() -> None:
     # sharded engine runs the same resident loop with per-shard spans).
     plan = FlashFFTStencil(SHAPE, heat_2d(), fused_steps=FUSED, tile=TILE, workers=1)
 
-    # ---- run both engines with telemetry attached ------------------
+    # ---- run both ways with telemetry attached ---------------------
     tel_base = Telemetry()
-    # resident=False / processes=1 pin the baseline's serial stitched
-    # path even under REPRO_RESIDENT=1 or REPRO_PROCS=N (the span-shape
-    # assertions below describe that specific engine).
-    want = plan.run(x, STEPS, telemetry=tel_base, resident=False, processes=1)
+    want = x
+    for _ in range(APPLICATIONS):  # one stitched application per call
+        want = plan.apply(want, telemetry=tel_base)
     tel_res = Telemetry()
-    got = plan.run(x, STEPS, telemetry=tel_res, resident=True, processes=1)
+    # processes=1 keeps the resident run in-process even under
+    # REPRO_PROCS=N (the span-shape assertions below describe it).
+    got = plan.run(x, STEPS, telemetry=tel_res, processes=1)
 
     # Bit-identical, not approximately equal: the halo exchange copies
     # the very same values the stitch + re-split would have produced.
@@ -68,12 +67,12 @@ def main() -> None:
         span = snap["spans"].get(stage)
         return span["calls"] if span else 0
 
-    print(f"{'stage calls':<14}{'baseline':>10}{'resident':>10}")
+    print(f"{'stage calls':<14}{'apply loop':>10}{'resident':>10}")
     for stage in ("split", "fuse", "exchange", "stitch"):
         print(f"{stage:<14}{_calls(base, stage):>10}{_calls(res, stage):>10}")
 
-    # The mechanism, asserted: the baseline splits and stitches once per
-    # application; the resident engine does each exactly once and runs an
+    # The mechanism, asserted: the apply loop splits and stitches once per
+    # application; the resident run does each exactly once and runs an
     # exchange on the transitions in between.
     assert _calls(base, "split") == APPLICATIONS
     assert _calls(base, "stitch") == APPLICATIONS
@@ -93,7 +92,7 @@ def main() -> None:
     print(f"\nround trips saved: {saved}")
     print(f"points moved between applications: {moved_base} -> {moved_res} "
           f"({moved_base / moved_res:.1f}x less traffic)")
-    print("resident run is bit-identical to stitch-per-application: OK")
+    print("resident run is bit-identical to the apply loop: OK")
 
 
 if __name__ == "__main__":

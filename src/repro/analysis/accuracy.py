@@ -284,7 +284,6 @@ class PrecisionRouter:
         tolerance: float,
         *,
         telemetry=None,
-        resident: bool | None = None,
         processes: int | None = None,
     ) -> np.ndarray:
         """Route one (possibly multi-application) run through a tier."""
@@ -297,16 +296,12 @@ class PrecisionRouter:
         if prec == "float64":
             tel.count("precision_requests_f64")
             out = self._plan.variant("float64").run(
-                grid, total_steps, resident=resident, processes=processes
+                grid, total_steps, processes=processes
             )
             return out.astype(self._caller_dtype(grid), copy=False)
         tel.count("precision_requests_f32")
         f32 = self._plan.variant("float32")
-        out = f32.run(
-            np.asarray(grid, dtype=np.float32),
-            total_steps,
-            resident=resident,
-        )
+        out = f32.run(np.asarray(grid, dtype=np.float32), total_steps)
         ref = self.spot_check(grid, out, total_steps, tolerance, tel)
         if ref is not None:
             return ref.astype(self._caller_dtype(grid), copy=False)
@@ -321,7 +316,6 @@ class PrecisionRouter:
         telemetry=None,
         double_layer: bool = False,
         workers: int | None = None,
-        resident: bool | None = None,
     ) -> np.ndarray:
         """Route a whole batch through one tier (batches never mix tiers)."""
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -334,7 +328,6 @@ class PrecisionRouter:
                 total_steps,
                 double_layer=double_layer,
                 workers=workers,
-                resident=resident,
             )
             want = self._caller_dtype(grids[0]) if grids else np.dtype(np.float64)
             return out.astype(want, copy=False)
@@ -345,7 +338,6 @@ class PrecisionRouter:
             total_steps,
             double_layer=double_layer,
             workers=workers,
-            resident=resident,
         )
         # Spot-check one representative grid; a breach re-runs the whole
         # batch on the reference tier (correct beats fast).
@@ -356,7 +348,6 @@ class PrecisionRouter:
                 total_steps,
                 double_layer=double_layer,
                 workers=workers,
-                resident=resident,
             )
         want = self._caller_dtype(grids[0])
         return out.astype(want, copy=False)

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..envutil import env_flag
 from ..errors import FaultInjected, NumericalError, PlanError, WorkerCrashError
 from ..gpusim.occupancy import OccupancyReport, occupancy
 from ..gpusim.pipeline import overlap_throughput_factor
@@ -45,7 +44,7 @@ from ..gpusim.spec import A100, GPUSpec
 from ..observability import NULL_TELEMETRY, Telemetry
 from ..parallel.arena import WorkspaceArena
 from ..parallel.backends import FFTBackend, get_backend
-from ..parallel.sharding import ShardedExecutor, choose_workers
+from ..parallel.sharding import ShardedExecutor, choose_workers, resident_loop
 from ..robustness.faults import PROCESS_KINDS
 from ..robustness.guards import GuardPolicy, check_array
 from .autotune import TunedSegment, choose_segment_length, choose_tile_shape
@@ -66,25 +65,7 @@ __all__ = [
     "plan_cache_info",
     "plan_cache_clear",
     "plan_key",
-    "resident_default",
 ]
-
-#: Environment switch for segment-resident iteration: when set truthy,
-#: ``run(..., resident=None)`` keeps the window batch resident across full
-#: applications, refreshing halos in place instead of stitching to the
-#: grid and re-gathering (see ``HaloExchangePlan``).
-_RESIDENT_ENV = "REPRO_RESIDENT"
-
-
-def resident_default() -> bool:
-    """Whether ``$REPRO_RESIDENT`` opts ``run()`` into resident iteration.
-
-    Routed through :func:`repro.envutil.env_flag`, so an unrecognised
-    value (``REPRO_RESIDENT=ture``) raises :class:`PlanError` naming the
-    variable instead of silently disabling the switch.
-    """
-    return env_flag(_RESIDENT_ENV)
-
 
 # --------------------------------------------------------------------------
 # Module-level plan cache
@@ -761,32 +742,13 @@ class FlashFFTStencil:
             precision=self.precision,
         )
 
-    def _resolve_resident(self, resident: bool | None, emulate_tcu: bool) -> bool:
-        """Resolve the three-state ``resident`` flag against the TCU path.
-
-        The emulated executor consumes whole window batches through its
-        fragment pipeline and has no halo-refresh hook, so an *explicit*
-        ``resident=True`` with ``emulate_tcu=True`` is a caller error; the
-        ``$REPRO_RESIDENT`` environment default merely falls back to the
-        stitch-per-application path (the env var is a fleet-wide switch and
-        must not break emulation runs).
-        """
-        if resident is None:
-            return resident_default() and not emulate_tcu
-        if resident and emulate_tcu:
-            raise PlanError(
-                "resident=True is not supported with emulate_tcu=True: the "
-                "emulated TCU pipeline has no halo-refresh hook"
-            )
-        return bool(resident)
-
     def _resolve_processes(self, processes: int | None, emulate_tcu: bool) -> int:
         """Resolve the ``processes`` knob to an effective rank count.
 
         ``None`` consults ``$REPRO_PROCS`` (small grids degrade to
         serial); ``0`` autotunes; explicit ``N >= 1`` is honoured (clamped
-        to the first-axis tile count).  Like ``resident``, an *explicit*
-        multi-process request with ``emulate_tcu=True`` is a caller error,
+        to the first-axis tile count).  An *explicit* multi-process
+        request with ``emulate_tcu=True`` is a caller error,
         while the env default silently falls back to serial — the emulated
         pipeline runs whole window batches and has no exchange hook.
         """
@@ -851,21 +813,18 @@ class FlashFFTStencil:
     ) -> np.ndarray:
         """``applications`` fused applications with the windows resident.
 
-        One split at entry, one stitch at exit; between applications each
-        window's halo is refreshed in place from its neighbours' valid
-        regions (:class:`~repro.core.tailoring.HaloExchangePlan`) — a copy
-        that overlap-save makes **bit-identical** to stitch + re-split,
-        while moving ``stale_points`` values instead of round-tripping the
-        whole grid.  The zero-boundary band fix runs in window space
-        between fuse and exchange so refreshed halos carry the corrected
-        band.  Sharded plans run the same loop with one pool barrier per
-        application (:meth:`ShardedExecutor.run_resident`).
+        One split at entry, one stitch at exit, and in between the shared
+        :func:`~repro.parallel.sharding.resident_loop`: each application
+        fuses the window batch in place, fixes the zero-boundary band in
+        window space and refreshes every halo from its owner's valid
+        region — a copy that overlap-save makes **bit-identical** to
+        stitch + re-split, while moving ``stale_points`` values instead
+        of round-tripping the whole grid.  Sharded plans split, fuse and
+        stitch per shard (:meth:`ShardedExecutor.run_resident`).
         """
         grid = _as_grid(grid, self.dtype)
         if grid.shape != self.grid_shape:
             raise PlanError(f"grid shape {grid.shape} != plan {self.grid_shape}")
-        if applications < 1:
-            raise PlanError(f"applications must be >= 1, got {applications}")
         arena = self._arena_acquire()
         try:
             if self._shard_executor is not None and (
@@ -875,37 +834,15 @@ class FlashFFTStencil:
                     grid, applications, out=out, arena=arena, telemetry=tel
                 )
             seg = self.segments
-            ex = seg.exchange_plan()
-            halo_buf = (
-                arena.halo_scratch(ex.stale_points)
-                if arena is not None and ex.strategy == "gather"
-                else None
-            )
-            zero_fix = seg.boundary == "zero" and self.fused_steps > 1
             with tel.span("split"):
-                cur = seg.split(
+                windows = seg.split(
                     grid,
                     out=arena.windows if arena is not None else None,
                     scratch=arena.padded if arena is not None else None,
                 )
-            for k in range(applications):
-                with tel.span("fuse"):
-                    fused = seg.fuse(cur, backend=self._backend)
-                if tel.enabled:
-                    tel.count("applications", 1)
-                    tel.count("windows", seg.total_segments)
-                    tel.count("fft_batches", 1)
-                if zero_fix:
-                    with tel.span("boundary_fix"):
-                        seg.fix_zero_boundary_band_windows(cur, fused)
-                if k + 1 < applications:
-                    with tel.span("exchange"):
-                        ex.refresh(fused, scratch=halo_buf, telemetry=tel)
-                    if tel.enabled:
-                        tel.count("hbm_round_trips_saved", 1)
-                cur = fused
+            resident_loop(seg, windows, applications, self._backend, tel)
             with tel.span("stitch"):
-                out = seg.stitch(cur, out=out)
+                out = seg.stitch(windows, out=out)
             if tel.enabled:
                 tel.count("points_stitched", int(np.prod(self.grid_shape)))
         finally:
@@ -919,7 +856,6 @@ class FlashFFTStencil:
         emulate_tcu: bool = False,
         telemetry: Telemetry | None = None,
         robustness: "RobustnessConfig | None" = None,
-        resident: bool | None = None,
         processes: int | None = None,
         tolerance: float | None = None,
         tune: bool | None = None,
@@ -933,20 +869,18 @@ class FlashFFTStencil:
         :meth:`router` and TECHNIQUES.md §17).  Incompatible with
         ``emulate_tcu`` and ``robustness``, which pin the execution path.
 
-        A remainder ``total_steps % fused_steps`` is handled by a plan with
-        the residual fusion depth — the flexibility §4 argues for — fetched
-        from the module-level plan cache (and inheriting this plan's config
-        and tile override) rather than rebuilt per call.  The steady-state
-        loop ping-pongs two output buffers, so per-application allocation is
-        limited to FFT workspace.
-
-        ``resident`` opts the full applications into segment-resident
-        iteration: split once, fuse + halo-exchange per application, stitch
-        once — bit-identical to the stitch-per-application loop, but the
-        per-application grid round trip through HBM is replaced by an
-        exchange touching only ``HaloExchangePlan.stale_points`` values.
-        ``None`` (default) consults ``$REPRO_RESIDENT``; the remainder tail
-        always runs through the existing path (its fusion depth differs).
+        The full applications run segment-resident: split once, fuse +
+        halo-exchange per application, stitch once — bit-identical to
+        calling :meth:`apply` once per application, but the per-application
+        grid round trip through memory is replaced by an exchange touching
+        only ``HaloExchangePlan.stale_points`` values, and the window batch
+        is fused in place.  A remainder ``total_steps % fused_steps`` is
+        handled by a plan with the residual fusion depth — the flexibility
+        §4 argues for — fetched from the module-level plan cache (and
+        inheriting this plan's config and tile override) rather than
+        rebuilt per call.  ``emulate_tcu=True`` runs one stitched
+        application at a time: the emulated TCU pipeline consumes whole
+        window batches and has no halo-refresh hook.
 
         ``processes`` scales the full applications out across worker
         *processes* (:class:`~repro.distributed.engine.ProcessEngine`):
@@ -955,10 +889,8 @@ class FlashFFTStencil:
         move between applications — still bit-identical to serial.
         ``None`` consults ``$REPRO_PROCS`` (small grids stay serial);
         ``0`` autotunes from the visible CPUs; ``N >= 1`` is honoured.
-        The process path is inherently resident, so it supersedes the
-        ``resident`` flag for the full block; runs too short to amortise
-        dispatch (fewer than two full applications) degrade to the
-        thread/serial path.
+        Runs too short to amortise dispatch (fewer than two full
+        applications) stay in-process.
 
         ``telemetry`` (optional) is threaded through every application (the
         remainder runs under a ``tail`` span) and, at the end, receives the
@@ -977,14 +909,14 @@ class FlashFFTStencil:
 
         ``tune`` opts the run into online autotuning
         (:class:`~repro.tuner.OnlineTuner`): the joint configuration —
-        fusion depth, tile, FFT backend, workers, residency, processes —
-        is taken from the tuned-winner cache, searched with interleaved
-        live trials on a miss, and the winner executed end to end.
-        ``None`` (default) consults ``$REPRO_AUTOTUNE``, which silently
-        yields to any explicitly pinned knob (``emulate_tcu``,
-        ``robustness``, ``tolerance``, explicit ``resident``/
-        ``processes``) — the established env-default convention — while
-        an *explicit* ``tune=True`` conflicts loudly with all of them.
+        fusion depth, tile, FFT backend, workers, processes — is taken
+        from the tuned-winner cache, searched with interleaved live trials
+        on a miss, and the winner executed end to end.  ``None`` (default)
+        consults ``$REPRO_AUTOTUNE``, which silently yields to any
+        explicitly pinned knob (``emulate_tcu``, ``robustness``,
+        ``tolerance``, explicit ``processes``) — the established
+        env-default convention — while an *explicit* ``tune=True``
+        conflicts loudly with all of them.
         """
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         if total_steps < 0:
@@ -997,7 +929,6 @@ class FlashFFTStencil:
                 and not emulate_tcu
                 and robustness is None
                 and tolerance is None
-                and resident is None
                 and processes is None
             )
         elif tune:
@@ -1007,11 +938,11 @@ class FlashFFTStencil:
                     "robustness=, and tolerance= (they pin the execution "
                     "path)"
                 )
-            if resident is not None or processes is not None:
+            if processes is not None:
                 raise PlanError(
-                    "tune=True is incompatible with explicit resident=/"
-                    "processes=: they are tuner dimensions (pin them and "
-                    "drop tune, or let the tuner choose)"
+                    "tune=True is incompatible with explicit processes=: "
+                    "it is a tuner dimension (pin it and drop tune, or let "
+                    "the tuner choose)"
                 )
         if tune:
             from ..tuner import get_default_tuner
@@ -1024,72 +955,32 @@ class FlashFFTStencil:
                     "and robustness= (they pin the execution path)"
                 )
             return self.router().run(
-                grid,
-                total_steps,
-                tolerance,
-                telemetry=tel,
-                resident=resident,
-                processes=processes,
+                grid, total_steps, tolerance, telemetry=tel, processes=processes
             )
-        use_resident = self._resolve_resident(resident, emulate_tcu)
         use_procs = self._resolve_processes(processes, emulate_tcu)
         if robustness is not None:
             return self._run_robust(
-                grid,
-                total_steps,
-                emulate_tcu,
-                tel,
-                robustness,
-                use_resident,
-                use_procs,
+                grid, total_steps, emulate_tcu, tel, robustness, use_procs
             )
         cur = _as_grid(grid, self.dtype)
         full, rem = divmod(total_steps, self.fused_steps)
         if full == 0 and rem == 0:
             return cur.copy()
-        if use_procs > 1 and full >= 2:
-            # Scale-out block for the full applications; the remainder
-            # tail has a different window geometry and runs through the
-            # stitched path, exactly like the resident engine's tail.
+        if emulate_tcu:
+            for _ in range(full):
+                cur, result = self._apply_impl(cur, True, None, tel)
+                self._store_result(result)
+        elif use_procs > 1 and full >= 2:
             cur = self._process_engine(use_procs).run(cur, full, telemetry=tel)
-            if rem:
-                tail = self._tail_plan(rem, tel)
-                with tel.span("tail"):
-                    cur, result = tail._apply_impl(cur, emulate_tcu, None, tel)
-                self._store_result(result)
-            if tel.enabled:
-                tel.record_cache("plan_cache", **plan_cache_info())
-                tel.record_cache("spectrum_cache", **spectrum_cache_info())
-            return cur
-        if use_resident and full >= 2:
-            # Resident block for the full applications; the remainder tail
-            # has a different window geometry, so it runs through the
-            # stitched path exactly as before.
+        elif full:
             cur = self._run_resident_block(cur, full, tel)
-            if rem:
-                tail = self._tail_plan(rem, tel)
-                with tel.span("tail"):
-                    cur, result = tail._apply_impl(cur, emulate_tcu, None, tel)
-                self._store_result(result)
-            if tel.enabled:
-                tel.record_cache("plan_cache", **plan_cache_info())
-                tel.record_cache("spectrum_cache", **spectrum_cache_info())
-            return cur
-        bufs = (
-            np.empty(self.grid_shape, dtype=self.dtype),
-            np.empty(self.grid_shape, dtype=self.dtype),
-        )
-        which = 0
-        for _ in range(full):
-            cur, result = self._apply_impl(cur, emulate_tcu, bufs[which], tel)
-            self._store_result(result)
-            which ^= 1
         if rem:
             tail = self._tail_plan(rem, tel)
-            # The tail plan is cache-shared: run its body without mutating
-            # it and keep the streamline result on *this* plan.
+            # The tail has its own window geometry, so it runs one stitched
+            # application; the plan is cache-shared, so run its body without
+            # mutating it and keep the streamline result on *this* plan.
             with tel.span("tail"):
-                cur, result = tail._apply_impl(cur, emulate_tcu, bufs[which], tel)
+                cur, result = tail._apply_impl(cur, emulate_tcu, None, tel)
             self._store_result(result)
         if tel.enabled:
             tel.record_cache("plan_cache", **plan_cache_info())
@@ -1130,19 +1021,17 @@ class FlashFFTStencil:
         double_layer: bool = False,
         workers: int | None = None,
         telemetry: Telemetry | None = None,
-        resident: bool | None = None,
         processes: int | None = None,
         tolerance: float | None = None,
         tune: bool | None = None,
     ) -> np.ndarray:
         """Advance B independent grids ``total_steps`` steps in batched
-        passes (remainder handled by the cached tail plan, as in
-        :meth:`run`); ``workers`` shards the grid axis across a thread
-        pool.  ``resident`` keeps the stacked window batch resident across
-        full applications (``None`` consults ``$REPRO_RESIDENT``).
-        ``processes`` shards the grid axis across worker *processes*
-        instead (``None`` consults ``$REPRO_PROCS``; ``0`` autotunes) —
-        see :func:`repro.distributed.engine.run_many_processes`.
+        passes: the stacked window batch stays resident across the full
+        applications, as in :meth:`run`, and the remainder runs on the
+        cached tail plan.  ``workers`` shards the grid axis across a
+        thread pool.  ``processes`` shards the grid axis across worker
+        *processes* instead (``None`` consults ``$REPRO_PROCS``; ``0``
+        autotunes) — see :func:`repro.distributed.engine.run_many_processes`.
         ``tolerance`` routes the whole batch to the cheapest precision
         tier meeting the budget (see :meth:`router`).  ``tune`` opts the
         batch into online autotuning with the batch width as a tuner
@@ -1159,7 +1048,6 @@ class FlashFFTStencil:
             double_layer=double_layer,
             workers=workers,
             telemetry=telemetry,
-            resident=resident,
             processes=processes,
             tolerance=tolerance,
             tune=tune,
@@ -1282,7 +1170,6 @@ class FlashFFTStencil:
         emulate_tcu: bool,
         tel: Telemetry,
         rb: "RobustnessConfig",
-        resident: bool = False,
         processes: int = 1,
     ) -> np.ndarray:
         """``run`` body under a :class:`~repro.robustness.RobustnessConfig`.
@@ -1294,13 +1181,13 @@ class FlashFFTStencil:
         skip straight to the reference path and degrade the rest of the
         run — corrupt output is never returned silently.
 
-        ``resident=True`` groups fault-free stretches of full applications
-        into resident chunks: a chunk boundary (i.e. a stitch back to the
-        grid) is forced at every checkpoint multiple, at each sentinel-due
-        index (the probe needs the application's own input *and* output
-        grids), and around every fault-injection site — so snapshots,
-        probes, and injected faults observe exactly the same grids as the
-        stitch-per-application path, and recovery semantics are unchanged.
+        Fault-free stretches of full applications run as resident chunks:
+        a chunk boundary (i.e. a stitch back to the grid) is forced at
+        every checkpoint multiple, at each sentinel-due index (the probe
+        needs the application's own input *and* output grids), and around
+        every fault-injection site — so snapshots, probes, and injected
+        faults observe exactly the same grids as one application at a
+        time would, and recovery semantics are unchanged.
         Stage-level guards (``check_stages``) need per-stage batch arrays
         and disable chunking entirely.
 
@@ -1336,8 +1223,7 @@ class FlashFFTStencil:
 
         # ---- chunk plan: [i0, i1) ranges over the application list -----
         chunk_ok = (
-            (resident or processes > 1)
-            and not emulate_tcu
+            not emulate_tcu
             and full >= 2
             and not (guards is not None and guards.enabled and guards.check_stages)
         )

@@ -47,6 +47,10 @@ from .reference import Boundary, run_stencil
 
 __all__ = ["HaloExchangePlan", "SegmentPlan", "tailored_fft_stencil"]
 
+#: Window points per block when building the exchange gather maps: bounds
+#: the int64 temporaries at a few MiB whatever the batch size.
+_MAP_BLOCK_POINTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class SegmentPlan:
@@ -468,49 +472,99 @@ class SegmentPlan:
     # ------------------------------------------------- resident iteration
 
     def exchange_plan(self, strategy: str = "auto") -> "HaloExchangePlan":
-        """The :class:`HaloExchangePlan` for this geometry (cached for the
-        default ``"auto"`` strategy; explicit strategies build fresh)."""
-        if strategy == "auto":
-            return self._exchange_plan_auto
+        """A :class:`HaloExchangePlan` for this geometry.
+
+        Exchange plans are cheap views built per call; the gather maps
+        they share are cached on this plan (:attr:`_exchange_maps`).  Do
+        not cache the exchange plan itself here: it refers back to this
+        plan, and that reference cycle would keep every cached index
+        array alive until the cyclic garbage collector runs.
+        """
         return HaloExchangePlan(self, strategy=strategy)
 
     @cached_property
-    def _exchange_plan_auto(self) -> "HaloExchangePlan":
-        return HaloExchangePlan(self)
+    def _exchange_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gather-strategy exchange maps: ``(src, dst, zero_dst)`` flat
+        index sets over the window batch.
 
-    def fix_zero_boundary_band_windows(
-        self,
-        windows_in: np.ndarray,
-        fused: np.ndarray,
-        rows: tuple[int, int] | None = None,
-    ) -> np.ndarray:
-        """The zero-BC band fix applied in *window space* (resident loop).
+        ``dst`` enumerates the stale in-domain window points; ``src`` is
+        each one's owner position (``_stitch_flat`` at the point's grid
+        coordinate).  Self-owned points (``src == dst`` — every valid
+        interior, including the ragged last tile's) are dropped: they are
+        already correct after the fuse.  ``zero_dst`` (zero boundary only)
+        collects the out-of-domain points to re-zero.
+        """
+        ndim = len(self.grid_shape)
+        zero = self.boundary == "zero"
+        coords = []
+        masks = []
+        for starts, r, l, g in zip(
+            self.starts, self.halo, self.local_shape, self.grid_shape
+        ):
+            offs = starts[:, None] - r + np.arange(l)[None, :]
+            if zero:
+                masks.append((offs >= 0) & (offs < g))
+                coords.append(np.clip(offs, 0, g - 1))
+            else:
+                coords.append(offs % g)
+        strides = np.cumprod((self.grid_shape[1:] + (1,))[::-1])[::-1]
+        wsize = int(np.prod(self.local_shape))
+        total = self.total_segments * wsize
+        # int32 indices halve the index traffic of the refresh gather.
+        idx_dtype = np.int64 if total > np.iinfo(np.int32).max else np.int32
+        stitch = self._stitch_flat.reshape(-1)
+        # Built a block of windows at a time (a contiguous span of the
+        # flat batch), so the int64 temporaries stay block-sized instead
+        # of several full-batch arrays; only the kept pairs accumulate.
+        step = max(1, _MAP_BLOCK_POINTS // wsize)
+        parts: tuple[list, list, list] = ([], [], [])
+        for k0 in range(0, self.total_segments, step):
+            k1 = min(self.total_segments, k0 + step)
+            tiles = np.unravel_index(np.arange(k0, k1), self.num_segments)
+            grid_flat = np.zeros((k1 - k0,) + self.local_shape, dtype=np.int64)
+            dom = np.ones(grid_flat.shape, dtype=bool) if zero else None
+            for ax in range(ndim):
+                shape = [k1 - k0] + [1] * ndim
+                shape[1 + ax] = self.local_shape[ax]
+                grid_flat += coords[ax][tiles[ax]].reshape(shape) * strides[ax]
+                if zero:
+                    dom &= masks[ax][tiles[ax]].reshape(shape)
+            src = stitch[grid_flat.reshape(-1)]
+            del grid_flat
+            pos = np.arange(k0 * wsize, k1 * wsize, dtype=np.int64)
+            stale = src != pos
+            if zero:
+                dom = dom.reshape(-1)
+                stale &= dom
+                parts[2].append(pos[~dom].astype(idx_dtype))
+            parts[0].append(src[stale].astype(idx_dtype))
+            parts[1].append(pos[stale].astype(idx_dtype))
+        out = tuple(
+            np.concatenate(p) if p else np.empty(0, dtype=idx_dtype)
+            for p in parts
+        )
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    def zero_band(
+        self, windows: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The evolved zero-BC boundary band of a window batch's grid.
 
         Mirrors :meth:`fix_zero_boundary_band`, but the input grid is read
-        out of the resident window batch ``windows_in`` (every grid point
-        lives in exactly one window's valid region — the stitch map) and
-        the corrected band is scattered into ``fused``'s valid positions
-        only.  The halo *copies* of the band are deliberately left stale:
-        the subsequent halo exchange refreshes every halo point from its
-        owner's valid region, which propagates the fix — so band fix
-        before exchange reproduces the grid-space stitch→fix→split cycle
-        bit for bit.  Before the final stitch no exchange is needed, since
-        stitching reads exactly the valid positions written here.
-
-        ``rows`` (optional, ``(s0, s1)`` window-row range) restricts the
-        *writes* to positions inside those window rows while computing the
-        full band slab — the process engine's single-owner discipline:
-        every rank evaluates the (thin) band redundantly but scatters only
-        into its own resident rows, so the union over ranks reproduces the
-        unrestricted fix without a cross-process write race.
+        out of the window batch (every grid point lives in exactly one
+        window's valid region — the stitch map).  Only thin slabs of
+        width ``2 * halo`` are read, so the result can be taken *before*
+        a fuse overwrites ``windows`` in place.  Returns, per axis and
+        side, ``(positions, values)``: the valid window positions of the
+        band and their corrected values, in the order the grid-space fix
+        writes them (:meth:`write_zero_band` replays that order).
         """
-        win_flat = windows_in.reshape(-1)
-        out_flat = fused.reshape(-1)
+        win_flat = windows.reshape(-1)
         stitch = self._stitch_flat
         ndim = len(self.grid_shape)
-        if rows is not None:
-            wsize = int(np.prod(self.local_shape))
-            row_lo, row_hi = rows[0] * wsize, rows[1] * wsize
+        band = []
         for axis in range(ndim):
             b = self.halo[axis]
             if b == 0:
@@ -531,14 +585,52 @@ class SegmentPlan:
                 idx_keep = tuple(
                     keep if ax == axis else slice(None) for ax in range(ndim)
                 )
-                pos = slab_pos[idx_keep]
-                vals = evolved[idx_keep]
-                if rows is None:
-                    out_flat[pos] = vals
-                else:
-                    mine = (pos >= row_lo) & (pos < row_hi)
-                    out_flat[pos[mine]] = vals[mine]
+                band.append((slab_pos[idx_keep], evolved[idx_keep].copy()))
+        return band
+
+    def write_zero_band(
+        self,
+        band: list[tuple[np.ndarray, np.ndarray]],
+        fused: np.ndarray,
+        rows: tuple[int, int] | None = None,
+    ) -> np.ndarray:
+        """Scatter a :meth:`zero_band` into ``fused``'s valid positions.
+
+        The halo *copies* of the band are deliberately left stale: the
+        subsequent halo exchange refreshes every halo point from its
+        owner's valid region, which propagates the fix — so band fix
+        before exchange reproduces the grid-space stitch→fix→split cycle
+        bit for bit.  Before the final stitch no exchange is needed, since
+        stitching reads exactly the valid positions written here.
+
+        ``rows`` (optional, ``(s0, s1)`` window-row range) restricts the
+        writes to positions inside those window rows — the process
+        engine's single-owner discipline: every rank evaluates the (thin)
+        band redundantly but scatters only into its own rows, so the union
+        over ranks reproduces the unrestricted fix without a write race.
+        """
+        out_flat = fused.reshape(-1)
+        if rows is not None:
+            wsize = int(np.prod(self.local_shape))
+            row_lo, row_hi = rows[0] * wsize, rows[1] * wsize
+        for pos, vals in band:
+            if rows is None:
+                out_flat[pos] = vals
+            else:
+                mine = (pos >= row_lo) & (pos < row_hi)
+                out_flat[pos[mine]] = vals[mine]
         return fused
+
+    def fix_zero_boundary_band_windows(
+        self,
+        windows_in: np.ndarray,
+        fused: np.ndarray,
+        rows: tuple[int, int] | None = None,
+    ) -> np.ndarray:
+        """The zero-BC band fix applied in *window space*: the band of
+        ``windows_in``'s grid (:meth:`zero_band`) written into ``fused``
+        (:meth:`write_zero_band`)."""
+        return self.write_zero_band(self.zero_band(windows_in), fused, rows)
 
     def fix_zero_boundary_band(
         self, grid: np.ndarray, out: np.ndarray
@@ -632,70 +724,11 @@ class HaloExchangePlan:
         total = seg.total_segments * int(np.prod(seg.local_shape))
         return total - int(np.prod(seg.grid_shape))
 
-    # ------------------------------------------------------- gather maps
-
-    @cached_property
+    @property
     def _gather_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(src, dst, zero_dst)`` flat index sets over the window batch.
-
-        ``dst`` enumerates the stale in-domain window points; ``src`` is
-        each one's owner position (``_stitch_flat`` at the point's grid
-        coordinate).  Self-owned points (``src == dst`` — every valid
-        interior, including the ragged last tile's) are dropped: they are
-        already correct after the fuse.  ``zero_dst`` (zero boundary only)
-        collects the out-of-domain points to re-zero.
-        """
-        seg = self.segments
-        ndim = len(seg.grid_shape)
-        coords = []
-        masks = []
-        for starts, r, l, g in zip(
-            seg.starts, seg.halo, seg.local_shape, seg.grid_shape
-        ):
-            offs = starts[:, None] - r + np.arange(l)[None, :]
-            if seg.boundary == "periodic":
-                coords.append(offs % g)
-                masks.append(None)
-            else:
-                masks.append((offs >= 0) & (offs < g))
-                coords.append(np.clip(offs, 0, g - 1))
-        full_shape = seg.num_segments + seg.local_shape
-
-        def _mesh(per_axis: list[np.ndarray]) -> list[np.ndarray]:
-            out = []
-            for ax, arr in enumerate(per_axis):
-                shape = [1] * (2 * ndim)
-                shape[ax] = arr.shape[0]
-                shape[ndim + ax] = arr.shape[1]
-                out.append(arr.reshape(shape))
-            return out
-
-        grid_flat = np.ravel_multi_index(tuple(_mesh(coords)), seg.grid_shape)
-        grid_flat = np.ascontiguousarray(
-            np.broadcast_to(grid_flat, full_shape)
-        ).reshape(-1)
-        src = seg._stitch_flat.reshape(-1)[grid_flat]
-        dst = np.arange(src.size, dtype=np.int64)
-        if seg.boundary == "zero":
-            dom = np.ones(full_shape, dtype=bool)
-            for m in _mesh(masks):
-                dom &= m
-            dom = dom.reshape(-1)
-            stale = dom & (src != dst)
-            zero_dst = np.flatnonzero(~dom)
-        else:
-            stale = src != dst
-            zero_dst = np.empty(0, dtype=np.int64)
-        # int32 indices halve the index traffic of the refresh gather.
-        idx_dtype = np.int64 if src.size > np.iinfo(np.int32).max else np.int32
-        out = (
-            src[stale].astype(idx_dtype),
-            dst[stale].astype(idx_dtype),
-            zero_dst.astype(idx_dtype),
-        )
-        for a in out:
-            a.flags.writeable = False
-        return out
+        """The segment plan's cached ``(src, dst, zero_dst)`` maps
+        (:attr:`SegmentPlan._exchange_maps`)."""
+        return self.segments._exchange_maps
 
     # --------------------------------------------------------- execution
 

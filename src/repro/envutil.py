@@ -2,7 +2,7 @@
 
 The engine exposes a handful of fleet-wide environment overrides
 (``REPRO_WORKERS``, ``REPRO_PROCS``, ``REPRO_FFT_BACKEND``,
-``REPRO_START_METHOD``, ``REPRO_RESIDENT``).  A typo in one of them used
+``REPRO_START_METHOD``, ``REPRO_AUTOTUNE``).  A typo in one of them used
 to either crash with a bare ``ValueError`` (``int("two")``) or — worse —
 silently fall back to a default, hiding a misconfigured deployment behind
 serial execution.  Every consumer now funnels through these helpers, so a
@@ -98,7 +98,7 @@ def env_flag(name: str) -> bool:
 
     Accepts ``1``/``true``/``yes``/``on`` and ``0``/``false``/``no``/
     ``off``.  Anything else raises :class:`PlanError` naming the variable —
-    a typo like ``REPRO_RESIDENT=ture`` used to silently disable the
+    a typo like ``REPRO_AUTOTUNE=ture`` used to silently disable the
     switch, hiding a misconfigured deployment.
     """
     raw = os.environ.get(name)

@@ -22,7 +22,8 @@ flat — asserted by the ``tracemalloc`` test in ``tests/test_parallel.py``.
 Sharded execution slices disjoint segment ranges out of the same
 ``windows`` buffer (first-axis slices of a C-contiguous array are
 contiguous views), so one arena serves every worker without copies or
-locks.
+locks.  The resident loop fuses ``windows`` in place across applications,
+so keeping the batch resident needs no second buffer.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ class WorkspaceArena:
         "batch",
         "dtype",
         "_geometry",
-        "_resident",
-        "_halo_scratch",
     )
 
     def __init__(self, segments: "SegmentPlan", batch: int = 1) -> None:
@@ -59,10 +58,6 @@ class WorkspaceArena:
             raise ValueError(f"batch must be >= 1, got {batch}")
         self.batch = int(batch)
         self.dtype = segments.dtype
-        # Resident-iteration buffers: allocated lazily on first use, so
-        # plans that never run resident pay nothing.
-        self._resident: np.ndarray | None = None
-        self._halo_scratch: np.ndarray | None = None
         # dtype is part of the pool identity: a float32 plan must never be
         # handed a float64 buffer back (np.take(out=) would reject it; a
         # silent match would double its memory traffic), nor vice versa.
@@ -94,32 +89,11 @@ class WorkspaceArena:
         """A contiguous view of window rows ``[start, stop)`` (no copy)."""
         return self.windows[start:stop]
 
-    def resident_windows(self) -> np.ndarray:
-        """Second window-batch buffer for the resident ping-pong.
-
-        The sharded resident loop fuses ``windows`` into this buffer (and
-        swaps) every application; allocated once per arena lifetime.
-        """
-        if self._resident is None:
-            self._resident = np.empty_like(self.windows)
-        return self._resident
-
-    def halo_scratch(self, size: int) -> np.ndarray:
-        """A reusable 1-D plan-dtype buffer of at least ``size`` elements —
-        the gather-strategy exchange's halo staging area."""
-        if self._halo_scratch is None or self._halo_scratch.size < size:
-            self._halo_scratch = np.empty(int(size), dtype=self.dtype)
-        return self._halo_scratch
-
     def nbytes(self) -> int:
         """Total bytes held by the arena's buffers."""
         n = self.windows.nbytes
         if self.padded is not None:
             n += self.padded.nbytes
-        if self._resident is not None:
-            n += self._resident.nbytes
-        if self._halo_scratch is not None:
-            n += self._halo_scratch.nbytes
         return n
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -23,12 +23,14 @@ a complex transform at ~2 real ones, so this path is about technique
 fidelity and TCU-facing layout, not host speed; it stays within 1e-12 of
 the real path.
 
-``run_many`` iterates ``apply_many`` with ping-pong output stacks and a
-batch-sized :class:`~repro.parallel.arena.WorkspaceArena`, handling the
-remainder ``total_steps % fused_steps`` through the same cached tail plan
-as ``run()``.  With ``workers > 1`` the *grid axis* is sharded: each
-worker serves a disjoint chunk of tenants end-to-end (grids are
-independent, so this needs no barrier at all).
+``run_many`` splits the B grids once into a batch-sized
+:class:`~repro.parallel.arena.WorkspaceArena`, keeps the stacked window
+batch resident across the full applications (the same resident loop as
+``run()``), stitches once, and handles the remainder ``total_steps %
+fused_steps`` through the same cached tail plan as ``run()``.  With
+``workers > 1`` the *grid axis* is sharded: each worker serves a
+disjoint chunk of tenants end-to-end (grids are independent, so this
+needs no barrier at all).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..errors import PlanError
 from ..observability import NULL_TELEMETRY, Telemetry
 from ..robustness.guards import check_array
 from .arena import WorkspaceArena
-from .sharding import _pool, choose_workers
+from .sharding import _pool, choose_workers, resident_loop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import FlashFFTStencil
@@ -167,114 +169,54 @@ def apply_many(
     return out
 
 
-def _run_many_resident(
-    plan: "FlashFFTStencil",
-    gs: list[np.ndarray],
-    full: int,
-    rem: int,
-    double_layer: bool,
-    tel: Telemetry,
-) -> np.ndarray:
-    """Serve one chunk of grids with the stacked window batch resident.
-
-    One batched split at entry and one batched stitch at exit; between the
-    ``full`` applications every grid's windows refresh their halos in
-    place through the shared :class:`~repro.core.tailoring.
-    HaloExchangePlan` (its index maps broadcast over the B stacked window
-    batches, since each batch row block is an independent grid).
-    Bit-identical to the stitch-per-application loop; the remainder runs
-    through :func:`apply_many` on the cached tail plan, as everywhere.
-    """
-    batch = len(gs)
-    seg = plan.segments
-    s = seg.total_segments
-    arena = WorkspaceArena(seg, batch=batch)
-    ex = seg.exchange_plan()
-    zero_fix = seg.boundary == "zero" and seg.steps > 1
-    cur = arena.windows
-    with tel.span("split"):
-        for b, g in enumerate(gs):
-            seg.split(g, out=cur[b * s : (b + 1) * s], scratch=arena.padded)
-    for k in range(full):
-        with tel.span("fuse"):
-            if double_layer and batch >= 2:
-                fused = _fuse_batch_packed(plan, cur, batch)
-            else:
-                fused = seg.fuse(cur, backend=plan._backend)
-        if tel.enabled:
-            tel.count("applications", 1)
-            tel.count("batched_applies", 1)
-            tel.count("grids_served", batch)
-            tel.count("windows", batch * s)
-            tel.count("fft_batches", 1)
-        if zero_fix:
-            with tel.span("boundary_fix"):
-                for b in range(batch):
-                    seg.fix_zero_boundary_band_windows(
-                        cur[b * s : (b + 1) * s], fused[b * s : (b + 1) * s]
-                    )
-        if k + 1 < full:
-            with tel.span("exchange"):
-                ex.refresh(fused, telemetry=tel)
-            if tel.enabled:
-                tel.count("hbm_round_trips_saved", 1)
-        cur = fused
-    out = np.empty((batch,) + plan.grid_shape, dtype=plan.dtype)
-    with tel.span("stitch"):
-        for b in range(batch):
-            slab = cur[b * s : (b + 1) * s]
-            np.take(slab.reshape(-1), seg._stitch_flat, out=out[b])
-    if tel.enabled:
-        tel.count("points_stitched", batch * int(np.prod(plan.grid_shape)))
-    if rem:
-        tail = plan._tail_plan(rem, tel)
-        with tel.span("tail"):
-            out = apply_many(
-                tail, out, double_layer=double_layer, telemetry=tel
-            )
-    return out
-
-
 def _run_many_chunk(
     plan: "FlashFFTStencil",
     gs: list[np.ndarray],
     total_steps: int,
     double_layer: bool,
     tel: Telemetry,
-    resident: bool = False,
 ) -> np.ndarray:
-    """Serve one chunk of grids end-to-end (serial over applications)."""
+    """Serve one chunk of grids end to end with the stacked batch resident.
+
+    One batched split at entry and one batched stitch at exit; the full
+    applications in between run through the shared
+    :func:`~repro.parallel.sharding.resident_loop` (the exchange maps
+    broadcast over the B stacked window batches, since each row block is
+    an independent grid).  Bit-identical to a per-grid loop of
+    ``plan.apply``; the remainder runs through :func:`apply_many` on the cached
+    tail plan, as everywhere.
+    """
     batch = len(gs)
     full, rem = divmod(total_steps, plan.fused_steps)
     if full == 0 and rem == 0:
         return np.stack(gs)
-    if resident and full >= 2:
-        return _run_many_resident(plan, gs, full, rem, double_layer, tel)
-    arena = WorkspaceArena(plan.segments, batch=batch)
-    bufs = (
-        np.empty((batch,) + plan.grid_shape, dtype=plan.dtype),
-        np.empty((batch,) + plan.grid_shape, dtype=plan.dtype),
-    )
-    which = 0
+    seg = plan.segments
+    s = seg.total_segments
     cur: "list[np.ndarray] | np.ndarray" = gs
-    for _ in range(full):
-        apply_many(
-            plan,
-            cur,
-            out=bufs[which],
-            double_layer=double_layer,
-            telemetry=tel,
-            arena=arena,
-        )
-        cur = bufs[which]
-        which ^= 1
+    if full:
+        arena = WorkspaceArena(seg, batch=batch)
+        windows = arena.windows
+        with tel.span("split"):
+            for b, g in enumerate(gs):
+                seg.split(g, out=windows[b * s : (b + 1) * s], scratch=arena.padded)
+        fuse = None
+        if double_layer and batch >= 2:
+            fuse = lambda rows: _fuse_batch_packed(plan, rows, batch)  # noqa: E731
+        resident_loop(seg, windows, full, plan._backend, tel, fuse=fuse)
+        cur = np.empty((batch,) + plan.grid_shape, dtype=plan.dtype)
+        with tel.span("stitch"):
+            for b in range(batch):
+                slab = windows[b * s : (b + 1) * s]
+                np.take(slab.reshape(-1), seg._stitch_flat, out=cur[b])
+        del arena, windows
+        if tel.enabled:
+            tel.count("batched_applies", full)
+            tel.count("grids_served", batch * full)
+            tel.count("points_stitched", batch * int(np.prod(plan.grid_shape)))
     if rem:
         tail = plan._tail_plan(rem, tel)
         with tel.span("tail"):
-            apply_many(
-                tail, cur, out=bufs[which], double_layer=double_layer, telemetry=tel
-            )
-        cur = bufs[which]
+            cur = apply_many(tail, cur, double_layer=double_layer, telemetry=tel)
     assert isinstance(cur, np.ndarray)
     return cur
 
@@ -287,7 +229,6 @@ def run_many(
     double_layer: bool = False,
     workers: int | None = None,
     telemetry: Telemetry | None = None,
-    resident: bool | None = None,
     processes: int | None = None,
     injector=None,
     tolerance: float | None = None,
@@ -306,10 +247,10 @@ def run_many(
     overheads across the batch.  ``workers`` shards the *grid axis*: each
     worker serves a disjoint tenant chunk end-to-end (defaults to the
     :func:`~repro.parallel.sharding.choose_workers` autotune over the
-    stacked segment count; small batches run serial).  ``resident`` keeps
-    each chunk's stacked window batch resident across full applications —
-    halo exchange instead of stitch + re-split, still bit-identical —
-    and ``None`` consults ``$REPRO_RESIDENT``.  ``processes`` shards the
+    stacked segment count; small batches run serial).  Each chunk keeps its
+    stacked window batch resident across the full applications — halo
+    exchange instead of stitch + re-split, still bit-identical.
+    ``processes`` shards the
     grid axis across worker *processes* through shared memory instead
     (``None`` consults ``$REPRO_PROCS``, ``0`` autotunes; GIL-free, so it
     scales where thread sharding saturates).  ``double_layer`` pairs
@@ -322,12 +263,11 @@ def run_many(
         from ..tuner import autotune_default
 
         # The env default yields silently to any explicitly pinned knob
-        # (the $REPRO_RESIDENT / $REPRO_PROCS convention); double-layer
+        # (the $REPRO_PROCS convention); double-layer
         # packing and fault injection pin the execution path too.
         tune = (
             autotune_default()
             and tolerance is None
-            and resident is None
             and processes is None
             and workers is None
             and injector is None
@@ -339,10 +279,10 @@ def run_many(
                 "tune=True is incompatible with tolerance=, injector=, "
                 "and double_layer (they pin the execution path)"
             )
-        if resident is not None or processes is not None or workers is not None:
+        if processes is not None or workers is not None:
             raise PlanError(
                 "tune=True is incompatible with explicit workers=/"
-                "resident=/processes=: they are tuner dimensions"
+                "processes=: they are tuner dimensions"
             )
     if tune:
         from ..tuner import get_default_tuner
@@ -359,12 +299,7 @@ def run_many(
             telemetry=tel,
             double_layer=double_layer,
             workers=workers,
-            resident=resident,
         )
-    if resident is None:
-        from ..core.plan import resident_default
-
-        resident = resident_default()
     gs = _as_grid_list(plan, grids)
     batch = len(gs)
     from ..distributed.engine import choose_processes
@@ -393,9 +328,7 @@ def run_many(
     w = choose_workers(batch * plan.segments.total_segments, workers)
     w = min(w, batch)
     if w <= 1:
-        return _run_many_chunk(
-            plan, gs, total_steps, double_layer, tel, resident
-        )
+        return _run_many_chunk(plan, gs, total_steps, double_layer, tel)
     chunks = [c for c in np.array_split(np.arange(batch), w) if len(c)]
     enabled = tel.enabled
 
@@ -407,7 +340,6 @@ def run_many(
             total_steps,
             double_layer,
             wtel,
-            resident,
         )
         return chunk, res, wtel
 

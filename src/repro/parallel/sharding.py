@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tailoring import SegmentPlan
     from .arena import WorkspaceArena
 
-__all__ = ["ShardedExecutor", "choose_workers", "cpu_count"]
+__all__ = ["ShardedExecutor", "choose_workers", "cpu_count", "resident_loop"]
 
 #: Environment override for the autotuned worker count (CI smoke legs pin
 #: this to exercise the sharded path on every test).
@@ -53,6 +53,13 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Autotuning floor: a shard below this many segments costs more in
 #: dispatch than it recovers in parallelism.
 MIN_SEGMENTS_PER_WORKER = 8
+
+#: Window bytes per FFT call in :func:`resident_loop`.  Block-sized
+#: transform transients stay cache-resident and are reused from the
+#: allocator's free lists; a whole-batch transient is handed back to the
+#: OS after every application and page-faulted in again on the next (on
+#: a 512² heat grid that cost 40% of the loop's time).
+FUSE_BLOCK_BYTES = 1 << 19
 
 
 def cpu_count() -> int:
@@ -174,10 +181,7 @@ class ShardedExecutor:
         with tel.span("split"):
             windows = np.take(src_flat, seg._gather_flat[s0:s1], out=win_out)
         with tel.span("fuse"):
-            axes = tuple(range(1, windows.ndim))
-            spec = self.backend.rfftn(windows, axes)
-            spec *= seg._half_spectrum
-            fused = self.backend.irfftn(spec, seg.local_shape, axes)
+            fused = _fuse_rows(seg, self.backend, windows)
         with tel.span("stitch"):
             np.take(fused.reshape(-1), self._stitch[i], out=out[r0:r1])
         return tel
@@ -216,18 +220,12 @@ class ShardedExecutor:
             # any aliasing would race.
             raise PlanError("sharded apply: out must not alias the grid")
         enabled = tel.enabled
-        if self.num_shards == 1:
-            shard_tels = [self._run_shard(0, src_flat, out, arena, enabled)]
-        else:
-            shard_tels = list(
-                _pool(self.workers).map(
-                    lambda i: self._run_shard(i, src_flat, out, arena, enabled),
-                    range(self.num_shards),
-                )
-            )
+        _join(
+            lambda i: self._run_shard(i, src_flat, out, arena, enabled),
+            range(self.num_shards),
+            tel,
+        )
         if enabled:
-            for wtel in shard_tels:
-                tel.merge(wtel)
             tel.count("sharded_applies", 1)
             tel.count("shard_tasks", self.num_shards)
             tel.count("fft_batches", self.num_shards)
@@ -246,108 +244,161 @@ class ShardedExecutor:
     ) -> np.ndarray:
         """``applications`` fused applications with the window batch resident.
 
-        One sharded split at entry, one sharded stitch at exit.  Per
-        application each shard fuses its own window rows into the shared
-        resident buffer; the pool join is the **single barrier per
-        application**, after which the main thread runs the (cheap) halo
-        exchange — the only step whose data crosses shard boundaries, and
-        only in edge slabs of width ``halo``.  Bit-identical to
+        One sharded split at entry and one sharded stitch at exit; in
+        between, :func:`resident_loop` fuses each shard's rows in place
+        with one pool barrier per application.  Bit-identical to
         ``applications`` serial apply calls, exactly like :meth:`apply`.
-
-        The zero-boundary band fix runs in window space between fuse and
-        exchange (see ``SegmentPlan.fix_zero_boundary_band_windows``), so
-        the exchanged halos already carry the corrected band.
         """
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         seg = self.segments
-        if applications < 1:
-            raise PlanError(f"applications must be >= 1, got {applications}")
         grid = np.asarray(grid, dtype=seg.dtype)
         if grid.shape != seg.grid_shape:
             raise PlanError(f"grid shape {grid.shape} != plan {seg.grid_shape}")
         if arena is not None and not arena.fits(seg):
             raise PlanError("arena geometry does not match this plan")
         scratch = arena.padded if arena is not None else None
-        src = seg.window_source(grid, out=scratch)
-        src_flat = src.reshape(-1)
-        if out is None:
-            out = np.empty(seg.grid_shape, dtype=seg.dtype)
-        elif np.shares_memory(src, out):
+        src_flat = seg.window_source(grid, out=scratch).reshape(-1)
+        if out is not None and np.shares_memory(src_flat, out):
             raise PlanError("sharded run_resident: out must not alias the grid")
-        if arena is not None:
-            cur = arena.windows
-            nxt = arena.resident_windows()
-        else:
-            shape = (seg.total_segments,) + seg.local_shape
-            cur = np.empty(shape, dtype=seg.dtype)
-            nxt = np.empty(shape, dtype=seg.dtype)
-        ex = seg.exchange_plan()
-        halo_buf = (
-            arena.halo_scratch(ex.stale_points)
-            if arena is not None and ex.strategy == "gather"
-            else None
+        windows = (
+            arena.windows
+            if arena is not None
+            else np.empty((seg.total_segments,) + seg.local_shape, seg.dtype)
         )
-        zero_fix = seg.boundary == "zero" and seg.steps > 1
-        enabled = tel.enabled
 
         def _split_shard(i: int) -> Telemetry:
             s0, s1, _, _ = self._bounds[i]
-            wtel = Telemetry() if enabled else NULL_TELEMETRY
+            wtel = Telemetry() if tel.enabled else NULL_TELEMETRY
             with wtel.span("split"):
-                np.take(src_flat, seg._gather_flat[s0:s1], out=cur[s0:s1])
-            return wtel
-
-        def _fuse_shard(i: int) -> Telemetry:
-            s0, s1, _, _ = self._bounds[i]
-            wtel = Telemetry() if enabled else NULL_TELEMETRY
-            with wtel.span("fuse"):
-                rows = cur[s0:s1]
-                axes = tuple(range(1, rows.ndim))
-                spec = self.backend.rfftn(rows, axes)
-                spec *= seg._half_spectrum
-                np.copyto(
-                    nxt[s0:s1], self.backend.irfftn(spec, seg.local_shape, axes)
-                )
+                np.take(src_flat, seg._gather_flat[s0:s1], out=windows[s0:s1])
             return wtel
 
         def _stitch_shard(i: int) -> Telemetry:
             s0, s1, r0, r1 = self._bounds[i]
-            wtel = Telemetry() if enabled else NULL_TELEMETRY
+            wtel = Telemetry() if tel.enabled else NULL_TELEMETRY
             with wtel.span("stitch"):
-                np.take(cur[s0:s1].reshape(-1), self._stitch[i], out=out[r0:r1])
+                np.take(windows[s0:s1].reshape(-1), self._stitch[i], out=out[r0:r1])
             return wtel
 
-        def _barrier(task) -> None:
-            if self.num_shards == 1:
-                tels = [task(0)]
-            else:
-                tels = list(_pool(self.workers).map(task, range(self.num_shards)))
-            if enabled:
-                for wtel in tels:
-                    tel.merge(wtel)
-
-        _barrier(_split_shard)
-        for k in range(applications):
-            _barrier(_fuse_shard)
-            if enabled:
-                tel.count("applications", 1)
-                tel.count("windows", seg.total_segments)
-                tel.count("fft_batches", self.num_shards)
-                tel.count("sharded_applies", 1)
-                tel.count("shard_tasks", self.num_shards)
-            if zero_fix:
-                with tel.span("boundary_fix"):
-                    seg.fix_zero_boundary_band_windows(cur, nxt)
-            if k + 1 < applications:
-                with tel.span("exchange"):
-                    ex.refresh(nxt, scratch=halo_buf, telemetry=tel)
-                if enabled:
-                    tel.count("hbm_round_trips_saved", 1)
-            cur, nxt = nxt, cur
-        _barrier(_stitch_shard)
-        if enabled:
+        shards = range(self.num_shards)
+        _join(_split_shard, shards, tel)
+        resident_loop(
+            seg, windows, applications, self.backend, tel,
+            shards=[(s0, s1) for s0, s1, _, _ in self._bounds],
+        )
+        if out is None:
+            out = np.empty(seg.grid_shape, dtype=seg.dtype)
+        _join(_stitch_shard, shards, tel)
+        if tel.enabled:
+            tel.count("sharded_applies", applications)
+            tel.count("shard_tasks", applications * self.num_shards)
             tel.count("points_stitched", int(np.prod(seg.grid_shape)))
             tel.record_cache(
                 "sharding", workers=self.workers, shards=self.num_shards
             )
         return out
+
+
+def _fuse_rows(
+    seg: "SegmentPlan", backend: FFTBackend, rows: np.ndarray
+) -> np.ndarray:
+    """FFT × fused half spectrum × iFFT of any run of window rows."""
+    axes = tuple(range(1, rows.ndim))
+    spec = backend.rfftn(rows, axes)
+    spec *= seg._half_spectrum
+    return backend.irfftn(spec, seg.local_shape, axes)
+
+
+def _join(
+    task: Callable[[Any], Telemetry], items: Sequence, tel: Telemetry
+) -> None:
+    """Run ``task`` over ``items`` — on the shared pool when there are
+    several — and merge the per-task telemetry sinks at the join."""
+    if len(items) == 1:
+        tels = [task(items[0])]
+    else:
+        tels = list(_pool(len(items)).map(task, items))
+    if tel.enabled:
+        for wtel in tels:
+            tel.merge(wtel)
+
+
+def resident_loop(
+    seg: "SegmentPlan",
+    windows: np.ndarray,
+    applications: int,
+    backend: FFTBackend,
+    telemetry: Telemetry = NULL_TELEMETRY,
+    shards: Sequence[tuple[int, int]] | None = None,
+    fuse: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Advance a split window batch ``applications`` fused applications.
+
+    The one resident time-stepping loop: serial runs (one shard), thread
+    shards (:meth:`ShardedExecutor.run_resident`) and the stacked
+    ``run_many`` batch all drive it between their own split and stitch.
+    ``windows`` is a ``(B * total_segments, *local_shape)`` batch of B
+    split grids and is advanced **in place**.  Per application:
+
+    * zero boundary: the evolved boundary band is taken from thin input
+      slabs (:meth:`~repro.core.tailoring.SegmentPlan.zero_band`) before
+      the fuse overwrites them;
+    * every shard's rows ``[s0, s1)`` fuse in place, in blocks of about
+      :data:`FUSE_BLOCK_BYTES` — a window's FFT reads only that window, so
+      its result may overwrite it.  Several shards run on the thread pool
+      and the join is the one barrier per application.  ``fuse``
+      (optional) replaces the real-FFT fuse of the whole batch
+      (double-layer packing pairs rows across grids, so it is not
+      blocked);
+    * the band is written into its valid positions, then, between
+      applications, every halo is refreshed from its owner's valid
+      region (:class:`~repro.core.tailoring.HaloExchangePlan`).
+
+    Overlap-save makes this bit-identical to stitch + band fix + re-split
+    after every application (rows transform independently, so blocking
+    changes no bits), while holding one window batch and block-sized
+    transients instead of three batches, and moving only ``stale_points``
+    values per transition.
+    """
+    if applications < 1:
+        raise PlanError(f"applications must be >= 1, got {applications}")
+    tel = telemetry
+    s = seg.total_segments
+    grids = range(0, windows.shape[0], s)
+    shards = shards or [(0, windows.shape[0])]
+    if fuse is None:
+        fuse = lambda rows: _fuse_rows(seg, backend, rows)  # noqa: E731
+        block = max(1, FUSE_BLOCK_BYTES // windows[0].nbytes)
+    else:
+        block = windows.shape[0]
+    ex = seg.exchange_plan()
+    zero_fix = seg.boundary == "zero" and seg.steps > 1
+
+    def _fuse_shard(bounds: tuple[int, int]) -> Telemetry:
+        s0, s1 = bounds
+        wtel = Telemetry() if tel.enabled else NULL_TELEMETRY
+        with wtel.span("fuse"):
+            for r in range(s0, s1, block):
+                rows = windows[r : min(r + block, s1)]
+                np.copyto(rows, fuse(rows))
+        return wtel
+
+    for k in range(applications):
+        if zero_fix:
+            with tel.span("boundary_fix"):
+                bands = [seg.zero_band(windows[g : g + s]) for g in grids]
+        _join(_fuse_shard, shards, tel)
+        if tel.enabled:
+            tel.count("applications", 1)
+            tel.count("windows", windows.shape[0])
+            tel.count("fft_batches", len(shards))
+        if zero_fix:
+            with tel.span("boundary_fix"):
+                for g, band in zip(grids, bands):
+                    seg.write_zero_band(band, windows[g : g + s])
+        if k + 1 < applications:
+            with tel.span("exchange"):
+                ex.refresh(windows, telemetry=tel)
+            if tel.enabled:
+                tel.count("hbm_round_trips_saved", 1)
+    return windows

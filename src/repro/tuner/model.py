@@ -130,13 +130,10 @@ def predicted_seconds(
 
     # --- HBM traffic per point ----------------------------------------
     bytes_pt = rsize * amp + rsize          # window gather + stitch write
-    if cand.resident or cand.processes > 1:
-        # Resident iteration (the process engine is inherently resident)
-        # replaces the grid round trip with the stale-halo exchange.
-        stale = max(0.0, amp - 1.0)
-        bytes_pt += rsize * 2.0 * min(1.0, stale)
-    else:
-        bytes_pt += rsize * 2.0             # stitch→re-split round trip
+    # Every engine keeps the windows resident: the stale-halo exchange
+    # replaces the stitch→re-split grid round trip between applications.
+    stale = max(0.0, amp - 1.0)
+    bytes_pt += rsize * 2.0 * min(1.0, stale)
 
     cost = KernelCost(
         flops=flops_pt * points * applications,

@@ -3,14 +3,13 @@
 A :class:`TunerCandidate` pins every runtime knob that shapes throughput
 without shaping numerics *for a fixed plan configuration*: temporal fusion
 depth, valid-tile override, FFT backend (and its transform-thread count),
-shard workers, segment residency, process ranks, and the ``run_many``
+shard workers, process ranks, and the ``run_many``
 micro-batch width.  :func:`candidate_space` seeds the search from the
 static heuristics the library already trusts — Eq.-(5)
 :func:`~repro.core.autotune.choose_segment_length` /
 :func:`~repro.core.autotune.choose_tile_shape` for geometry,
 :func:`~repro.parallel.sharding.choose_workers` for thread sharding,
-:func:`~repro.distributed.engine.choose_processes` for ranks, and
-:func:`~repro.core.plan.resident_default` for residency — then varies one
+:func:`~repro.distributed.engine.choose_processes` for ranks — then varies one
 coordinate at a time around that incumbent.  Coordinate variation keeps
 the space linear in the number of knobs (a dozen-odd candidates, not the
 hundreds a full cross product would breed) while still containing every
@@ -48,7 +47,6 @@ class TunerCandidate:
     tile: tuple[int, ...] | None
     backend: str
     workers: int
-    resident: bool
     processes: int
     batch: int = 1
 
@@ -58,8 +56,6 @@ class TunerCandidate:
         bits.append("w=auto" if self.workers == 0 else f"w={self.workers}")
         if self.tile is not None:
             bits.append("tile=" + "x".join(str(t) for t in self.tile))
-        if self.resident:
-            bits.append("resident")
         if self.processes > 1:
             bits.append(f"procs={self.processes}")
         if self.batch > 1:
@@ -73,20 +69,21 @@ class TunerCandidate:
             "tile": list(self.tile) if self.tile is not None else None,
             "backend": self.backend,
             "workers": int(self.workers),
-            "resident": bool(self.resident),
             "processes": int(self.processes),
             "batch": int(self.batch),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TunerCandidate":
+        """Inverse of :meth:`to_json`.  Records written while residency
+        was still a tuner dimension carry a ``resident`` key; every run
+        is resident now, so it is ignored."""
         tile = data.get("tile")
         return cls(
             fused_steps=int(data["fused_steps"]),
             tile=tuple(int(t) for t in tile) if tile is not None else None,
             backend=str(data["backend"]),
             workers=int(data["workers"]),
-            resident=bool(data["resident"]),
             processes=int(data["processes"]),
             batch=int(data.get("batch", 1)),
         )
@@ -102,7 +99,6 @@ def static_candidate(
     candidate in every trial set and falling back to it whenever no
     challenger wins by a clear margin.
     """
-    from ..core.plan import resident_default
     from ..distributed.engine import backend_spec, choose_processes
 
     points = int(np.prod(plan.grid_shape)) * max(1, int(batch))
@@ -112,7 +108,6 @@ def static_candidate(
         tile=plan._tile_override,
         backend=backend_spec(plan.backend),
         workers=plan.effective_workers,
-        resident=resident_default(),
         processes=choose_processes(points, tiles, None),
         batch=max(1, int(batch)),
     )
@@ -133,8 +128,6 @@ def candidate_space(
       ``scipy:N`` spec when more than one CPU is visible;
     * **workers** — serial, the :func:`choose_workers` autotune, and
       all-cores (thread sharding along the segment axis);
-    * **resident** — both polarities (residency trades stitch round trips
-      for halo exchanges; which wins depends on the halo fraction);
     * **processes** — in-process vs. the rank count
       :func:`choose_processes` would pick under explicit autotune
       (float64 plans only — the shared-memory engine's contract).
@@ -183,14 +176,11 @@ def candidate_space(
         if w >= 1:
             add(replace(static, workers=w))
 
-    # Residency.
-    add(replace(static, resident=not static.resident))
-
     # Process ranks (float64 only; the shared-memory batch is double).
     if plan.precision == "float64" and cpus > 1:
         points = int(np.prod(plan.grid_shape)) * max(1, int(batch))
         ranks = choose_processes(points, plan.segments.num_segments[0], 0)
         if ranks > 1:
-            add(replace(static, processes=ranks, resident=False))
+            add(replace(static, processes=ranks))
 
     return out

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: Environment switch: ``plan.run(..., tune=None)`` consults it, exactly
-#: like ``$REPRO_RESIDENT`` / ``$REPRO_PROCS`` gate their knobs.
+#: like ``$REPRO_PROCS`` gates its knob.
 AUTOTUNE_ENV = "REPRO_AUTOTUNE"
 
 
@@ -102,8 +102,8 @@ class TunerPolicy:
     #: winner pays its trial back over the rest of the run.
     max_trial_fraction: float = 0.20
     #: Multiplier on the lcm-of-depths step count each trial side runs
-    #: (raised automatically when a side needs the resident/process path
-    #: engaged, which requires >= 2 full applications).
+    #: (raised automatically when a side needs the process path engaged,
+    #: which requires >= 2 full applications).
     trial_apps: int = 1
     #: Interleaved rounds per challenger.
     rounds: int = 1
@@ -262,16 +262,15 @@ class OnlineTuner:
         Both sides run the same step count — the least common multiple of
         the two fusion depths — so the paired ratio compares identical
         work and needs no per-step rescaling (which would amplify noise by
-        the depth ratio).  Residency and the process engine only engage
-        with >= 2 full applications (``run`` degrades shorter blocks to
-        the stitched path), so a side probing those dimensions must fit at
-        least two of its applications in the trial.
+        the depth ratio).  The process engine only engages with >= 2 full
+        applications (``run`` keeps shorter blocks in-process), so a side
+        probing it must fit at least two of its applications in the trial.
         """
         base = math.lcm(inc.fused_steps, cand.fused_steps)
         steps = base * self.policy.trial_apps
 
         def apps_needed(c: TunerCandidate) -> int:
-            return 2 if (c.resident or c.processes > 1) else 1
+            return 2 if c.processes > 1 else 1
 
         while (
             steps // cand.fused_steps < apps_needed(cand)
@@ -312,7 +311,6 @@ class OnlineTuner:
                     grid_or_grids,
                     steps,
                     workers=None if cand.workers == 0 else cand.workers,
-                    resident=cand.resident,
                     processes=cand.processes,
                     telemetry=NULL_TELEMETRY,
                     tune=False,
@@ -320,7 +318,6 @@ class OnlineTuner:
             return lambda: target.run(
                 grid_or_grids,
                 steps,
-                resident=cand.resident,
                 processes=cand.processes,
                 telemetry=NULL_TELEMETRY,
                 tune=False,
@@ -426,7 +423,6 @@ class OnlineTuner:
             grid,
             total_steps,
             telemetry=telemetry,
-            resident=cand.resident,
             processes=cand.processes,
             tune=False,
         )
@@ -470,7 +466,6 @@ class OnlineTuner:
             total_steps,
             double_layer=double_layer,
             workers=None if cand.workers == 0 else cand.workers,
-            resident=cand.resident,
             processes=cand.processes,
             telemetry=telemetry,
             tune=False,

@@ -274,8 +274,6 @@ class TestThreadSafety:
 
 class TestRunTelemetry:
     def test_counters_match_plan_geometry(self, rng):
-        from repro.core.plan import resident_default
-
         x = rng.standard_normal((64, 64))
         plan = FlashFFTStencil((64, 64), kz.heat_2d(), fused_steps=4, tile=(16, 16))
         tel = Telemetry()
@@ -284,22 +282,30 @@ class TestRunTelemetry:
         segs = plan.segments.total_segments
         assert c["applications"] == 3
         assert c["windows"] == segs * 3  # tile override reaches the tail
-        # Under $REPRO_RESIDENT the two full applications stitch once (the
+        # The two full applications stay resident and stitch once (the
         # halo exchange replaces the intermediate round trip); the tail
-        # always stitches its own application.
-        stitches = 2 if resident_default() else 3
-        assert c["points_stitched"] == 64 * 64 * stitches
-        assert c["fft_batches"] == 3
+        # stitches its own application.
+        assert c["points_stitched"] == 64 * 64 * 2
+        # One FFT batch per shard per application (the serial engine is
+        # one shard), whatever worker count this host autotunes.
+        def shards(p):
+            ex = p._shard_executor
+            return ex.num_shards if ex is not None else 1
+
+        tail = plan._tail_plan(1)
+        assert c["fft_batches"] == 2 * shards(plan) + shards(tail)
         assert c["plan_cache_misses"] == 1
 
     def test_stage_spans_cover_wall_time(self, rng):
         x = rng.standard_normal((48, 48, 48))
+        # workers=1 / processes=1: the coverage property belongs to the
+        # serial in-process engine.  Process-rank spans deliberately
+        # exclude barrier waits, and concurrent shard-thread spans sum to
+        # more than the wall time, so neither engine can meet both bounds.
         plan = FlashFFTStencil(
-            (48, 48, 48), kz.heat_3d(), fused_steps=2, tile=(16, 16, 16)
+            (48, 48, 48), kz.heat_3d(), fused_steps=2, tile=(16, 16, 16),
+            workers=1,
         )
-        # processes=1: the coverage property belongs to the in-process
-        # engine — worker spans deliberately exclude barrier waits, so the
-        # 90% floor does not (and should not) hold under $REPRO_PROCS.
         plan.run(x, 5, processes=1)  # warm plan + spectrum caches
         tel = Telemetry()
         t0 = time.perf_counter()

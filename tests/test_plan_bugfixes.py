@@ -247,15 +247,13 @@ class TestConcurrentTelemetry:
             t.join()
         assert not errors
         # 7 steps at fused_steps=3 => two full applications plus a tail.
-        # Under $REPRO_RESIDENT the two full applications stitch once (the
-        # halo exchange replaces the intermediate round trip).
-        from repro.core.plan import resident_default
-
+        # The two full applications stay resident and stitch once (the
+        # halo exchange replaces the intermediate round trip); the tail
+        # stitches its own.
         runs = n_threads * n_runs
-        stitches = 2 if resident_default() else 3
         c = tel.snapshot()["counters"]
         assert c["applications"] == runs * 3
-        assert c["points_stitched"] == runs * stitches * 96
+        assert c["points_stitched"] == runs * 2 * 96
         assert c["plan_cache_hits"] + c["plan_cache_misses"] == runs
         # No cross-thread mutation of cache-owned plans.
         assert all(p._cache_owned and p._last_result is None

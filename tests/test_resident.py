@@ -1,31 +1,36 @@
 """Segment-resident run engine: halo exchange vs stitch + re-split.
 
-Covers the resident-iteration tentpole end to end:
+``run`` and ``run_many`` keep the window batch resident across full
+applications.  Covered end to end:
 
-* bit-identity of ``run(..., resident=True)`` with the
-  stitch-per-application path across dimensionality, boundary handling,
-  ragged tiling, worker counts, and remainder tails — the overlap-save
-  exactness argument (every halo point has exactly one owner) made
-  executable;
+* bit-identity with an explicit loop of ``plan.apply`` calls (one
+  stitched application each, then the tail plan's ``apply``) across
+  dimensionality, boundary handling, ragged tiling, worker counts, and
+  remainder tails — the overlap-save exactness argument (every halo point
+  has exactly one owner) made executable;
 * :class:`~repro.core.tailoring.HaloExchangePlan` strategy selection and
   the slab/gather numerical agreement on geometries where both apply;
-* the ``$REPRO_RESIDENT`` environment default and the
-  ``resident`` / ``emulate_tcu`` interaction;
+* the emulated-TCU path, which runs one stitched application at a time;
 * telemetry evidence: the per-application ``split``/``stitch`` spans
   collapse into ``exchange``, with ``halo_points_exchanged`` and
   ``hbm_round_trips_saved`` counting the saved round trips;
 * robustness interplay: sentinel probes, checkpoint/restore, and fault
   retries land on stitch-consistent grids even when the engine runs the
-  applications between them as resident chunks.
+  applications between them as resident chunks;
+* memory: the resident loop fuses in place, so neither ``run`` nor
+  ``run_many`` peaks above the apply loop it replaces, and the plan's
+  workspace arena does not grow.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import kernels as kz
-from repro.core.plan import FlashFFTStencil, resident_default
+from repro.core.plan import FlashFFTStencil
 from repro.errors import PlanError
 from repro.observability import Telemetry
 from repro.robustness import (
@@ -57,6 +62,17 @@ def _plan(geom, workers=None):
     )
 
 
+def _apply_loop(plan, x, total):
+    """The non-resident baseline: one stitched ``apply`` per full
+    application, then the cached tail plan's ``apply`` for the remainder."""
+    full, rem = divmod(total, plan.fused_steps)
+    for _ in range(full):
+        x = plan.apply(x)
+    if rem:
+        x = plan._tail_plan(rem).apply(x)
+    return x
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("geom", GEOMETRIES, ids=[g[0] for g in GEOMETRIES])
     @pytest.mark.parametrize("workers", [None, 2])
@@ -65,9 +81,7 @@ class TestBitIdentity:
         x = rng.standard_normal(geom[1])
         fused = geom[4]
         for total in (3 * fused, 3 * fused + max(1, fused // 2)):
-            want = plan.run(x, total)
-            got = plan.run(x, total, resident=True)
-            assert np.array_equal(got, want)
+            assert np.array_equal(plan.run(x, total), _apply_loop(plan, x, total))
 
     @pytest.mark.parametrize("geom", GEOMETRIES, ids=[g[0] for g in GEOMETRIES])
     def test_run_many_matches_per_grid(self, geom, rng):
@@ -75,17 +89,15 @@ class TestBitIdentity:
         fused = geom[4]
         total = 3 * fused + max(1, fused // 2)
         gs = np.stack([rng.standard_normal(geom[1]) for _ in range(3)])
-        want = np.stack([plan.run(g, total) for g in gs])
-        got = plan.run_many(gs, total, resident=True)
-        assert np.array_equal(got, want)
+        want = np.stack([_apply_loop(plan, g, total) for g in gs])
+        assert np.array_equal(plan.run_many(gs, total), want)
 
     def test_single_application_falls_back(self, rng):
-        # full == 1: no transition to save, the stitch path runs as-is.
+        # full == 1: no transition to save; one split, fuse and stitch
+        # compute exactly what apply does.
         plan = FlashFFTStencil((64,), kz.heat_1d(), fused_steps=4, tile=(16,))
         x = rng.standard_normal(64)
-        assert np.array_equal(
-            plan.run(x, 4, resident=True), plan.run(x, 4)
-        )
+        assert np.array_equal(plan.run(x, 4), plan.apply(x))
 
 
 class TestExchangePlan:
@@ -137,38 +149,18 @@ class TestExchangePlan:
         assert np.array_equal(got, want)
 
 
-class TestResidentDefault:
-    def test_env_enables_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESIDENT", "1")
-        assert resident_default() is True
-        monkeypatch.setenv("REPRO_RESIDENT", "off")
-        assert resident_default() is False
-        monkeypatch.delenv("REPRO_RESIDENT")
-        assert resident_default() is False
-
-    def test_env_default_routes_run_through_exchange(self, monkeypatch, rng):
+class TestEmulation:
+    def test_emulated_run_stitches_every_application(self, rng):
+        # The emulated TCU pipeline has no halo-refresh hook: it runs one
+        # stitched application at a time and never exchanges.
         plan = FlashFFTStencil((64,), kz.heat_1d(), fused_steps=4, tile=(16,))
         x = rng.standard_normal(64)
-        monkeypatch.setenv("REPRO_RESIDENT", "1")
         tel = Telemetry()
-        want = plan.run(x, 8)
-        got = plan.run(x, 8, telemetry=tel)
-        assert np.array_equal(got, want)
-        assert "exchange" in tel.snapshot()["spans"]
-
-    def test_explicit_resident_with_emulation_is_an_error(self, rng):
-        plan = FlashFFTStencil((64,), kz.heat_1d(), fused_steps=4, tile=(16,))
-        with pytest.raises(PlanError):
-            plan.run(rng.standard_normal(64), 8, emulate_tcu=True, resident=True)
-
-    def test_env_default_yields_to_emulation(self, monkeypatch, rng):
-        # The fleet-wide env switch must not break emulation runs: it
-        # falls back to the stitch path instead of raising.
-        monkeypatch.setenv("REPRO_RESIDENT", "1")
-        plan = FlashFFTStencil((64,), kz.heat_1d(), fused_steps=4, tile=(16,))
-        x = rng.standard_normal(64)
-        got = plan.run(x, 8, emulate_tcu=True)
+        got = plan.run(x, 8, emulate_tcu=True, telemetry=tel)
         assert np.allclose(got, plan.run(x, 8), atol=1e-10)
+        snap = tel.snapshot()
+        assert "exchange" not in snap["spans"]
+        assert snap["spans"]["stitch"]["calls"] == 2
 
 
 class TestTelemetry:
@@ -180,7 +172,7 @@ class TestTelemetry:
         )
         x = rng.standard_normal((64, 64))
         tel = Telemetry()
-        plan.run(x, 6, telemetry=tel, resident=True)  # 3 full applications
+        plan.run(x, 6, telemetry=tel)  # 3 full applications
         snap = tel.snapshot()
         c = snap["counters"]
         seg = plan.segments
@@ -199,7 +191,7 @@ class TestTelemetry:
         )
         x = rng.standard_normal((64, 64))
         tel = Telemetry()
-        plan.run(x, 6, telemetry=tel, resident=True)
+        plan.run(x, 6, telemetry=tel)
         c = tel.snapshot()["counters"]
         assert c["applications"] == 3
         assert c["hbm_round_trips_saved"] == 2
@@ -223,8 +215,8 @@ class TestRobustnessInterplay:
             checkpoint_store=MemoryCheckpointStore(),
         )
         tel = Telemetry()
-        got = plan.run(x, 16, robustness=rb, resident=True, telemetry=tel)
-        assert np.array_equal(got, plan.run(x, 16))
+        got = plan.run(x, 16, robustness=rb, telemetry=tel)
+        assert np.array_equal(got, _apply_loop(plan, x, 16))
         c = tel.snapshot()["counters"]
         assert c["sentinel_probes"] >= 1
         assert c["checkpoint_saves"] >= 1
@@ -242,9 +234,74 @@ class TestRobustnessInterplay:
             injector=injector,
         )
         tel = Telemetry()
-        got = plan.run(x, 16, robustness=rb, resident=True, telemetry=tel)
-        assert np.array_equal(got, plan.run(x, 16))
+        got = plan.run(x, 16, robustness=rb, telemetry=tel)
+        assert np.array_equal(got, _apply_loop(plan, x, 16))
         c = tel.snapshot()["counters"]
         assert c["faults_injected"] >= 1
         # The fault was recovered by retry or restore — with evidence.
         assert c.get("stage_retries", 0) + c.get("checkpoint_restores", 0) >= 1
+
+
+class TestMemory:
+    """The resident loop fuses the window batch in place and saves only the
+    thin zero-boundary band, so it needs no more memory than the apply
+    loop it replaced (which never held a second window batch)."""
+
+    SHAPE = (40, 36, 34)
+    STEPS = 7  # 3 full applications + a tail
+
+    def _plan(self):
+        # Ragged tiles force the gather exchange; two workers shard it.
+        plan = FlashFFTStencil(
+            self.SHAPE, kz.heat_3d(), fused_steps=2, tile=(12, 12, 12),
+            boundary="zero", workers=2,
+        )
+        assert plan.segments.exchange_plan().strategy == "gather"
+        assert plan._shard_executor is not None
+        return plan
+
+    @staticmethod
+    def _peak(fn, reps: int = 3) -> int:
+        """Largest traced allocation peak of ``fn`` over ``reps`` calls
+        (the worst case: shard threads may or may not overlap)."""
+        peaks = []
+        for _ in range(reps):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        return max(peaks)
+
+    def test_run_peaks_no_higher_than_apply_loop(self, rng):
+        plan = self._plan()
+        x = rng.standard_normal(self.SHAPE)
+        want = _apply_loop(plan, x, self.STEPS)  # warms caches and arena
+        arena_bytes = sum(a.nbytes() for a in plan._arena_pool)
+        assert np.array_equal(plan.run(x, self.STEPS), want)
+        # Residency needs no second window batch or halo buffer.
+        assert sum(a.nbytes() for a in plan._arena_pool) == arena_bytes
+        loop_peak = self._peak(lambda: _apply_loop(plan, x, self.STEPS))
+        run_peak = self._peak(lambda: plan.run(x, self.STEPS))
+        assert run_peak <= loop_peak, (run_peak, loop_peak)
+
+    def test_run_many_peaks_no_higher_than_apply_many_loop(self, rng):
+        plan = self._plan()
+        gs = np.stack([rng.standard_normal(self.SHAPE) for _ in range(3)])
+        full, rem = divmod(self.STEPS, plan.fused_steps)
+        tail = plan._tail_plan(rem)
+
+        def apply_many_loop():
+            cur = gs
+            for _ in range(full):
+                cur = plan.apply_many(cur)
+            return tail.apply_many(cur)
+
+        want = np.stack([_apply_loop(plan, g, self.STEPS) for g in gs])
+        assert np.array_equal(apply_many_loop(), want)
+        assert np.array_equal(plan.run_many(gs, self.STEPS, workers=1), want)
+        loop_peak = self._peak(apply_many_loop)
+        many_peak = self._peak(lambda: plan.run_many(gs, self.STEPS, workers=1))
+        assert many_peak <= loop_peak, (many_peak, loop_peak)

@@ -12,8 +12,8 @@ anchors:
 * a fresh *spawned* process warm-starts planning from the disk cache;
 * admission rejections are typed ``ServingError`` and counted;
 * a truncated newest checkpoint restores from the next-older snapshot;
-* ``REPRO_RESIDENT=ture`` raises ``PlanError`` instead of silently
-  disabling residency.
+* ``REPRO_AUTOTUNE=ture`` raises ``PlanError`` instead of silently
+  disabling the switch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import heat_1d, heat_2d, spectrum_cache_clear
-from repro.core.plan import FlashFFTStencil, plan_cache_clear, resident_default
+from repro.core.plan import FlashFFTStencil, plan_cache_clear
 from repro.envutil import env_flag
 from repro.errors import CheckpointError, PlanError, ServingError
 from repro.observability import Telemetry
@@ -39,6 +39,7 @@ from repro.serving import (
     ServingConfig,
     StencilServer,
 )
+from repro.tuner import autotune_default
 
 
 @pytest.fixture
@@ -78,16 +79,16 @@ class TestEnvFlagStrict:
         with pytest.raises(PlanError, match="REPRO_TEST_FLAG"):
             env_flag("REPRO_TEST_FLAG")
 
-    def test_resident_default_regression_typo(self, monkeypatch):
-        # The original bug: REPRO_RESIDENT=ture silently parsed as False,
-        # so the user's residency opt-in never took effect.
-        monkeypatch.setenv("REPRO_RESIDENT", "ture")
-        with pytest.raises(PlanError, match="REPRO_RESIDENT"):
-            resident_default()
+    def test_autotune_default_regression_typo(self, monkeypatch):
+        # The original bug: a boolean switch set to "ture" silently parsed
+        # as False, so the user's opt-in never took effect.
+        monkeypatch.setenv("REPRO_AUTOTUNE", "ture")
+        with pytest.raises(PlanError, match="REPRO_AUTOTUNE"):
+            autotune_default()
 
     def test_run_surfaces_env_typo(self, monkeypatch, plan, rng):
-        monkeypatch.setenv("REPRO_RESIDENT", "ture")
-        with pytest.raises(PlanError, match="REPRO_RESIDENT"):
+        monkeypatch.setenv("REPRO_AUTOTUNE", "ture")
+        with pytest.raises(PlanError, match="REPRO_AUTOTUNE"):
             plan.run(rng.standard_normal(192), 12)
 
 

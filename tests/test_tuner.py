@@ -148,24 +148,23 @@ class TestSpace:
         assert cands[0] == static_candidate(plan, 64)
         assert len(set(cands)) == len(cands)
 
-    def test_varies_depth_backend_workers_residency(self):
+    def test_varies_depth_backend_workers(self):
         plan = small_plan()
         cands = candidate_space(plan, 64)
         depths = {c.fused_steps for c in cands}
         assert {4, 8, 16} <= depths
         assert len({c.backend for c in cands}) >= 2
-        assert any(c.resident != cands[0].resident for c in cands)
         assert all(c.workers >= 0 for c in cands)
 
     def test_candidate_json_round_trip(self):
         cand = TunerCandidate(
             fused_steps=8, tile=(64, 64), backend="scipy:2", workers=2,
-            resident=True, processes=2, batch=4,
+            processes=2, batch=4,
         )
         assert TunerCandidate.from_json(cand.to_json()) == cand
 
     def test_label_is_compact(self):
-        cand = TunerCandidate(8, None, "numpy", 0, False, 1)
+        cand = TunerCandidate(8, None, "numpy", 0, 1)
         assert cand.label() == "T=8,numpy,w=auto"
 
 
@@ -259,10 +258,7 @@ class TestSearch:
         assert winner in survivors
         # The output is the winner's own run, bit-identical.
         target = tuner.plan_for(plan, winner)
-        want = target.run(
-            x, steps, resident=winner.resident, processes=winner.processes,
-            tune=False,
-        )
+        want = target.run(x, steps, processes=winner.processes, tune=False)
         assert np.array_equal(out, want)
 
     def test_second_run_hits_cache_without_trials(self, rng):
@@ -286,15 +282,16 @@ class TestSearch:
 
     def test_equal_step_trials(self):
         tuner = OnlineTuner()
-        inc = TunerCandidate(8, None, "numpy", 1, False, 1)
+        inc = TunerCandidate(8, None, "numpy", 1, 1)
         cha = replace(inc, fused_steps=12)
         steps = tuner._trial_steps_for(cha, inc)
         assert steps % 8 == 0 and steps % 12 == 0
 
-    def test_resident_trials_need_two_applications(self):
+    def test_process_trials_need_two_applications(self):
         tuner = OnlineTuner()
-        inc = TunerCandidate(8, None, "numpy", 1, False, 1)
-        cha = replace(inc, resident=True)
+        inc = TunerCandidate(8, None, "numpy", 1, 1)
+        assert tuner._trial_steps_for(inc, inc) == 8
+        cha = replace(inc, processes=2)
         assert tuner._trial_steps_for(cha, inc) >= 16
 
     def test_invalidate_forces_research(self, rng):
@@ -380,6 +377,25 @@ class TestPersistence:
         assert second.trials_run == 0
         assert second.cache_hits == 1
         assert out.shape == x.shape
+
+    def test_legacy_record_with_resident_key_warm_starts(self, rng, tmp_path):
+        # Records written while residency was a tuner dimension carry a
+        # "resident" key; every run is resident now, so loading ignores it.
+        plan = small_plan(1 << 14)
+        x = rng.standard_normal(1 << 14)
+        steps = 8 * 64
+        cache = PlanDiskCache(tmp_path)
+        record = {"kind": "candidate", "resident": True}
+        record.update(static_candidate(plan, steps).to_json())
+        cache.put_config(workload_signature(plan, steps).key_string(), record)
+        tuner = OnlineTuner(
+            cache=PlanDiskCache(tmp_path), policy=TunerPolicy(min_points=1)
+        )
+        out = tuner.run(plan, x, steps)
+        assert tuner.searches == 0
+        assert tuner.trials_run == 0
+        assert tuner.cache_hits == 1
+        assert np.array_equal(out, plan.run(x, steps, tune=False))
 
 
 # --------------------------------------------------------------------------
@@ -467,18 +483,16 @@ class TestEnvFlag:
         monkeypatch.setenv(AUTOTUNE_ENV, "1")
         plan = small_plan(1 << 12)
         x = rng.standard_normal(1 << 12)
-        # Explicit resident pins a tuner dimension: the env default backs
+        # Explicit processes pins a tuner dimension: the env default backs
         # off silently instead of raising.
-        out = plan.run(x, 32, resident=True)
-        assert np.array_equal(out, plan.run(x, 32, resident=True, tune=False))
+        out = plan.run(x, 32, processes=1)
+        assert np.array_equal(out, plan.run(x, 32, processes=1, tune=False))
 
 
 class TestTuneConflicts:
     def test_explicit_tune_rejects_pinned_dimensions(self, rng):
         plan = small_plan(1 << 12)
         x = rng.standard_normal(1 << 12)
-        with pytest.raises(PlanError):
-            plan.run(x, 32, tune=True, resident=True)
         with pytest.raises(PlanError):
             plan.run(x, 32, tune=True, processes=2)
 
